@@ -41,11 +41,35 @@ func chaosSeed(t *testing.T) int64 {
 // fabricDNS serves a static TXT zone over fabric datagram connections:
 // one read is one query (the fabric preserves datagram framing), so a
 // reply per read and close. Lost datagrams surface to the resolver as
-// read timeouts, which its retry loop absorbs.
+// read timeouts, which its retry loop absorbs. At test cleanup it
+// closes the listener and every open connection and waits for its
+// goroutines, the way a server shuts down: the client pools its
+// sockets, so connections would otherwise stay open until their read
+// deadline.
 func fabricDNS(t *testing.T, ln *netsim.Listener, txt map[string]string) {
 	t.Helper()
+	var (
+		mu    sync.Mutex
+		conns = make(map[net.Conn]struct{})
+		wg    sync.WaitGroup
+	)
+	t.Cleanup(func() {
+		_ = ln.Close()
+		mu.Lock()
+		for conn := range conns {
+			_ = conn.Close()
+		}
+		mu.Unlock()
+		wg.Wait()
+	})
 	serveConn := func(conn net.Conn) {
-		defer conn.Close()
+		defer wg.Done()
+		defer func() {
+			mu.Lock()
+			delete(conns, conn)
+			mu.Unlock()
+			_ = conn.Close()
+		}()
 		buf := make([]byte, 4096)
 		_ = conn.SetReadDeadline(time.Now().Add(2 * time.Second))
 		for {
@@ -80,12 +104,18 @@ func fabricDNS(t *testing.T, ln *netsim.Listener, txt map[string]string) {
 			}
 		}
 	}
+	wg.Add(1)
 	go func() {
+		defer wg.Done()
 		for {
 			conn, err := ln.Accept()
 			if err != nil {
 				return
 			}
+			mu.Lock()
+			conns[conn] = struct{}{}
+			mu.Unlock()
+			wg.Add(1)
 			go serveConn(conn)
 		}
 	}()
@@ -109,7 +139,7 @@ func TestBulkPipelineChaos(t *testing.T) {
 	}
 	t.Cleanup(func() { _ = ln.Close() })
 
-	const domains = 12
+	const domains = 48
 	zone := make(map[string]string, domains)
 	for i := 0; i < domains; i++ {
 		policy := "v=spf1 ip4:203.0.113.0/24 -all"
@@ -188,6 +218,11 @@ func TestBulkPipelineChaos(t *testing.T) {
 		tuples, temperrors, stats.Results, stats.Elapsed)
 	if temperrors == tuples {
 		t.Error("every tuple temperrored; the retry path absorbed nothing")
+	}
+	// Pooled sockets make dials rare, so the injected faults must still
+	// be shown to reach the resolver's retry path.
+	if r.RetryCount() == 0 {
+		t.Error("no transport retries: the injected faults never reached the retry path")
 	}
 }
 

@@ -37,7 +37,9 @@ type LogEntry struct {
 	// OverIPv6 reports whether the query arrived at the server's IPv6
 	// endpoint (the observable for the IPv6 test policy, §7.3).
 	OverIPv6 bool
-	// Remote is the querying resolver's address.
+	// Remote is the querying resolver's address. Resolvers built on
+	// dns.Client send from pooled sockets, so one port repeats across
+	// many queries and does not identify a lookup.
 	Remote string
 }
 

@@ -470,12 +470,13 @@ func (r *Resolver) LookupMX(ctx context.Context, name string) ([]spf.MXRecord, e
 
 // LookupPTR implements spf.Resolver.
 func (r *Resolver) LookupPTR(ctx context.Context, ip netip.Addr) ([]string, error) {
-	msg, err := r.Exchange(ctx, ReverseName(ip), dns.TypePTR)
+	name := ReverseName(ip)
+	msg, err := r.Exchange(ctx, name, dns.TypePTR)
 	if err != nil {
 		return nil, err
 	}
 	var out []string
-	for _, rr := range answers(msg, ReverseName(ip), dns.TypePTR) {
+	for _, rr := range answers(msg, name, dns.TypePTR) {
 		out = append(out, rr.Data.(*dns.PTR).Target)
 	}
 	return out, nil
